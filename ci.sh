@@ -67,13 +67,21 @@ if ! SIMNET_THREADS=4 cargo test -q --workspace; then
     exit 1
 fi
 
+echo "== perfbench self-test (tiny shapes of the repo benchmark)"
+# Builds perfbench-runner and checks its gates, metric names and layer
+# accounting on seconds-long shapes; the full benchmark is
+# `python3 perfbench/run.py` (see perfbench/README.md).
+python3 perfbench/selftest.py
+
 echo "== fault soak (ctrl + data-plane + tenant-isolation + breaker matrix)"
 # Bounded fixed-seed soak across ten suites, all through the
 # conformance checker with payload verification:
 #   * ctrl matrix    — drop/dup/delay/crash/xreg plans x seeds x 1/2/4
 #                      proxies on the verified stencil and alltoall;
-#   * payload        — bit-flip x torn-write x silent-drop corruption:
-#                      must heal byte-correct via bounded retransmission;
+#   * payload        — bit-flip x torn-write x silent-drop corruption on
+#                      the stencil and on a persistent group whose send
+#                      buffer is rewritten every call: must heal
+#                      byte-correct via bounded retransmission;
 #   * starved        — post burst against tiny admission/staging/journal
 #                      caps: credits + QueueFull pacing, depths bounded;
 #   * noisy-neighbor — a flooding tenant vs a well-behaved one at 2 and

@@ -11,8 +11,10 @@
 //! Beyond the ctrl-plane matrix, five additional suites always run:
 //!
 //! * **payload** — flip/torn/silent-drop corruption on the verified
-//!   stencil: every run must end byte-correct after bounded data-path
-//!   retransmission (never a hang, never silent corruption);
+//!   stencil and on a persistent group all-to-all whose send buffer is
+//!   rewritten before every call: every run must end byte-correct after
+//!   bounded data-path retransmission (never a hang, never silent
+//!   corruption);
 //! * **starved** — a post burst far past a tiny admission cap, with the
 //!   staging pool and FIN journal capped too: credit deferral and
 //!   QueueFull nack-retry must pace the run to completion with queue
@@ -57,10 +59,10 @@
 
 use checker::{
     alltoall_workload, armed_verified_stencil_workload, breaker_recovery_workload,
-    brownout_workload, doomed_group_workload, noisy_victim_p99, quota_retry_workload,
-    run_scenario_with_dump, starved_flood_workload, verified_stencil_workload, ConformanceConfig,
-    Scenario, Workload, BREAKER_XREG_PM, NOISY_FLOOD_BURST, NOISY_P99_BOUND_FACTOR,
-    STARVED_QUEUE_CAP,
+    brownout_workload, doomed_group_workload, group_refill_workload, noisy_victim_p99,
+    quota_retry_workload, run_scenario_with_dump, starved_flood_workload,
+    verified_stencil_workload, ConformanceConfig, Scenario, Workload, BREAKER_XREG_PM,
+    NOISY_FLOOD_BURST, NOISY_P99_BOUND_FACTOR, STARVED_QUEUE_CAP,
 };
 use offload::FaultPlan;
 
@@ -230,10 +232,24 @@ fn main() {
     }
 
     // Data-plane integrity: corruption must heal byte-correct through
-    // bounded retransmission (the driver verifies the received bytes).
+    // bounded retransmission (the drivers verify the received bytes),
+    // on the stencil and on a persistent group whose send buffer is
+    // rewritten before every call. The group moves 12 payloads a round,
+    // so it skips the long-only plan: at 28% of attempts faulted, the
+    // 8-attempt retransmission bound is spent by chance (a typed
+    // failure, not a heal) in a few percent of sweeps.
     if env_plan.is_none() {
-        let payload = verified_stencil_workload();
-        for plan in payload_plans(long) {
+        let (stencil, refill) = (verified_stencil_workload(), group_refill_workload());
+        let mut payload: Vec<(&str, &Workload, FaultPlan)> = payload_plans(long)
+            .into_iter()
+            .map(|plan| ("payload", &stencil, plan))
+            .collect();
+        payload.extend(
+            payload_plans(false)
+                .into_iter()
+                .map(|plan| ("payload-group-refill", &refill, plan)),
+        );
+        for (suite, workload, plan) in payload {
             for seed in 0..seeds {
                 for proxies in [1usize, 2, 4] {
                     let scenario = Scenario {
@@ -242,7 +258,7 @@ fn main() {
                         proxies_per_dpu: proxies,
                         fault: plan.with_seed(seed * 131 + proxies as u64),
                     };
-                    tally.record("payload", &payload, &scenario, cfg);
+                    tally.record(suite, workload, &scenario, cfg);
                 }
             }
         }

@@ -18,8 +18,8 @@ use offload::{
 use simnet::{EventSink, Report, SimDelta, SimError, SimTime};
 use workloads::{
     drive_alltoall, drive_breaker_recovery, drive_brownout, drive_deadline, drive_flood,
-    drive_group_abandon, drive_noisy_neighbor, drive_quota_retry, drive_stencil,
-    drive_verified_stencil, fanout, CheckRun,
+    drive_group_abandon, drive_group_refill, drive_noisy_neighbor, drive_quota_retry,
+    drive_stencil, drive_verified_stencil, fanout, CheckRun,
 };
 
 use crate::conformance::{Conformance, ConformanceConfig, Violation};
@@ -130,6 +130,19 @@ pub fn verified_stencil_workload() -> Workload {
         let mut run = check_run(scenario, sink);
         run.move_bytes = true;
         drive_verified_stencil(&run, 2048, 2)
+    })
+}
+
+/// The payload-verifying persistent group (see
+/// [`workloads::drive_group_refill`]): real bytes, a group all-to-all
+/// whose send buffer is rewritten before every call, every received
+/// block checked. Under a payload-fault plan each generation must heal
+/// against the CRCs of its own call.
+pub fn group_refill_workload() -> Workload {
+    Arc::new(|scenario: &Scenario, sink: EventSink| {
+        let mut run = check_run(scenario, sink);
+        run.move_bytes = true;
+        drive_group_refill(&run, 2048, 4)
     })
 }
 

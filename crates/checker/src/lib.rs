@@ -33,11 +33,12 @@ pub use conformance::{Conformance, ConformanceConfig, Violation};
 pub use explore::{
     alltoall_workload, armed_verified_stencil_workload, breaker_recovery_workload,
     brownout_workload, deadline_workload, doomed_group_workload, explore, failure_dump_dir,
-    noisy_neighbor_workload, noisy_victim_p99, quota_retry_workload, replay_dump, run_scenario,
-    run_scenario_recorded, run_scenario_with_dump, shrink, starved_flood_workload,
-    stencil_workload, sweep, verified_stencil_workload, write_failure_dump, Outcome, Scenario,
-    Workload, BREAKER_RECOVERY_ROUNDS, BREAKER_XREG_PM, FLOOD_BURST, NOISY_FLOOD_BURST,
-    NOISY_P99_BOUND_FACTOR, NOISY_QUEUE_CAP, QUOTA_RETRY_HARD, STARVED_QUEUE_CAP,
+    group_refill_workload, noisy_neighbor_workload, noisy_victim_p99, quota_retry_workload,
+    replay_dump, run_scenario, run_scenario_recorded, run_scenario_with_dump, shrink,
+    starved_flood_workload, stencil_workload, sweep, verified_stencil_workload, write_failure_dump,
+    Outcome, Scenario, Workload, BREAKER_RECOVERY_ROUNDS, BREAKER_XREG_PM, FLOOD_BURST,
+    NOISY_FLOOD_BURST, NOISY_P99_BOUND_FACTOR, NOISY_QUEUE_CAP, QUOTA_RETRY_HARD,
+    STARVED_QUEUE_CAP,
 };
 
 #[cfg(test)]

@@ -854,13 +854,16 @@ impl Offload {
             g.gen
         };
         let need_build = self.st.borrow().groups[req.0].wire.is_none();
-        if need_build {
+        let crcs = if need_build {
             self.build_wire(req);
-        }
+            None
+        } else {
+            self.refresh_send_crcs(req)
+        };
         let use_cache = self.cfg.use_group_cache;
         let cached = self.st.borrow().groups[req.0].proxy_cached;
         if cached && use_cache {
-            self.send_group_exec(req, gen);
+            self.send_group_exec(req, gen, crcs);
         } else {
             self.send_group_packet(req, gen);
             self.st.borrow_mut().groups[req.0].proxy_cached = true;
@@ -1192,6 +1195,29 @@ impl Offload {
         self.st.borrow_mut().groups[req.0].wire = Some(wire);
     }
 
+    /// Re-hash every send entry of a built group against its buffer's
+    /// current bytes (payload-fault runs only; `None` otherwise). The
+    /// application may rewrite a send buffer between calls, so each
+    /// generation is verified against the CRCs taken at its own call:
+    /// the refreshed wire entries ride any full `GroupPacket` (including
+    /// a restart replay), and the returned list, one CRC per send entry
+    /// in wire order, rides the cached `GroupExec`.
+    fn refresh_send_crcs(&self, req: GroupRequest) -> Option<Vec<u32>> {
+        if !self.cfg.fault.payload_faults() {
+            return None;
+        }
+        let mut st = self.st.borrow_mut();
+        let wire = st.groups.get_mut(req.0)?.wire.as_mut()?;
+        let mut crcs = Vec::new();
+        for entry in wire {
+            if let WireEntry::Send { addr, len, crc, .. } = entry {
+                *crc = self.payload_crc(*addr, *len);
+                crcs.extend(*crc);
+            }
+        }
+        Some(crcs)
+    }
+
     fn send_group_packet(&self, req: GroupRequest, gen: u64) {
         let entries = self.st.borrow().groups[req.0]
             .wire
@@ -1220,16 +1246,18 @@ impl Offload {
         self.ctx.stat_incr("offload.group.packets", 1);
     }
 
-    fn send_group_exec(&self, req: GroupRequest, gen: u64) {
+    fn send_group_exec(&self, req: GroupRequest, gen: u64, crcs: Option<Vec<u32>>) {
+        let crc_bytes = crcs.as_ref().map_or(0, |c| 4 * c.len() as u64);
         self.post_ctrl(
             self.proxy_ep,
-            self.cfg.ctrl_bytes,
+            self.cfg.ctrl_bytes + crc_bytes,
             CtrlMsg::GroupExec {
                 key: GroupKey {
                     host_rank: self.rank,
                     req_id: req.0,
                 },
                 gen,
+                crcs,
             },
             ReqOrigin::Group(req.0),
         );

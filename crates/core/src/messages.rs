@@ -52,8 +52,9 @@ pub(crate) enum WireEntry {
         /// message counter when the wire image is built; labels the data
         /// writes this entry produces in the event stream.
         msg_id: u64,
-        /// CRC32 of the payload at build time. Present only when the
-        /// run's fault plan arms payload faults (end-to-end integrity).
+        /// CRC32 of the payload as of the latest `Group_Offload_call`
+        /// (re-hashed every call). Present only when the run's fault
+        /// plan arms payload faults (end-to-end integrity).
         crc: Option<u32>,
     },
     /// An offloaded receive: passive — tracked for arrival.
@@ -177,7 +178,13 @@ pub(crate) enum CtrlMsg {
         host_pid: Pid,
     },
     /// Cached execution: host → proxy, metadata already resident.
-    GroupExec { key: GroupKey, gen: u64 },
+    GroupExec {
+        key: GroupKey,
+        gen: u64,
+        /// This generation's payload CRC32s, one per `Send` entry in wire
+        /// order, taken at the call (payload-fault runs only).
+        crcs: Option<Vec<u32>>,
+    },
     /// Completion: proxy → host.
     GroupFin { req_id: usize, gen: u64 },
     /// Barrier counter written by the source-side proxy into the

@@ -143,9 +143,9 @@ struct WriteCtx {
     len: u64,
     /// Delivery attempts so far (1 = the original post).
     attempt: u32,
-    /// Arrival notification re-delivered with each re-post (group data
-    /// writes; the receiver dedups by msg_id).
-    notify: Option<(Pid, CtrlMsg)>,
+    /// Group data writes: the arrival marker for the destination proxy,
+    /// sent once the landed payload verifies.
+    arrival: Option<(EpId, CtrlMsg)>,
 }
 
 struct CachedGroup {
@@ -168,6 +168,11 @@ struct Instance {
     /// Barrier counters already written for the barrier at `cursor`.
     barrier_written: bool,
     done: bool,
+    /// This generation's payload CRCs, index-aligned with the cached
+    /// entries (send entries only; payload-fault runs started by a
+    /// `GroupExec`). `None`: the entries' own CRCs are current, having
+    /// arrived with this generation's `GroupPacket`.
+    crcs: Option<Vec<u32>>,
 }
 
 /// Proxy bookkeeping. Every container here is order-stable (`BTreeMap` /
@@ -594,9 +599,9 @@ impl Proxy<'_> {
             } => {
                 self.ctx.stat_incr("offload.proxy.group_packets", 1);
                 self.install_group(st, key, entries, host_pid);
-                self.start_instance(st, key, gen);
+                self.start_instance(st, key, gen, None);
             }
-            CtrlMsg::GroupExec { key, gen } => {
+            CtrlMsg::GroupExec { key, gen, crcs } => {
                 if !st.groups.contains_key(&key) {
                     // A retransmitted exec that raced a proxy restart: the
                     // group metadata died with the old life. The restart
@@ -611,7 +616,7 @@ impl Proxy<'_> {
                     self.cfg.proxy_entry_overhead,
                 );
                 self.ctx.stat_incr("offload.proxy.group_execs", 1);
-                self.start_instance(st, key, gen);
+                self.start_instance(st, key, gen, crcs);
             }
             CtrlMsg::GroupArrival {
                 src_rank,
@@ -1335,7 +1340,7 @@ impl Proxy<'_> {
                     remote: (self.cluster.host_ep(rtr.dst_rank), rtr.addr, rtr.rkey),
                     len,
                     attempt: 1,
-                    notify: None,
+                    arrival: None,
                 },
             );
         }
@@ -1414,7 +1419,7 @@ impl Proxy<'_> {
                     remote: (src_ep, src_addr, src_rkey),
                     len,
                     attempt: 1,
-                    notify: None,
+                    arrival: None,
                 },
             );
         }
@@ -1470,7 +1475,7 @@ impl Proxy<'_> {
                     remote: (self.cluster.host_ep(rtr.dst_rank), rtr.addr, rtr.rkey),
                     len,
                     attempt: 1,
-                    notify: None,
+                    arrival: None,
                 },
             );
         }
@@ -1531,7 +1536,7 @@ impl Proxy<'_> {
                     remote: (self.cluster.host_ep(rtr.dst_rank), rtr.addr, rtr.rkey),
                     len,
                     attempt: 1,
-                    notify: None,
+                    arrival: None,
                 },
             );
         }
@@ -1722,6 +1727,9 @@ impl Proxy<'_> {
             if got != wctx.crc {
                 self.on_corrupt(st, wctx, completion);
                 return;
+            }
+            if let Some((dst_proxy, arrival)) = wctx.arrival {
+                self.send_arrival(dst_proxy, arrival);
             }
             if wctx.attempt > 1 {
                 self.ctx.stat_incr("offload.integrity.recovered", 1);
@@ -1916,8 +1924,22 @@ impl Proxy<'_> {
         );
     }
 
+    /// Signal a verified group data write to its destination proxy: the
+    /// per-write arrival counter of Algorithm 1, written once the landed
+    /// bytes pass the integrity check instead of together with them.
+    fn send_arrival(&self, dst_proxy: EpId, arrival: CtrlMsg) {
+        let sent = self.cluster.fabric().send_packet(
+            self.ctx,
+            self.my_ep,
+            dst_proxy,
+            self.cfg.ctrl_bytes,
+            Box::new(arrival),
+        );
+        debug_assert!(sent.is_ok(), "a proxy posts from its own endpoint");
+    }
+
     /// Re-post a corrupt operation after its backoff (fresh wrid, same
-    /// path, same arrival notification — receivers dedup by msg_id).
+    /// path; a group write's arrival is signalled once it verifies).
     fn repost(&self, st: &mut ProxyState, wctx: WriteCtx, completion: Completion) {
         let wr = self.next_wrid(st);
         self.ctx.emit(&ProtoEvent::WritePosted {
@@ -1938,10 +1960,6 @@ impl Proxy<'_> {
             )
             .expect("data retransmit read");
         } else {
-            let notify = wctx
-                .notify
-                .clone()
-                .map(|(pid, msg)| (pid, Box::new(msg) as Payload));
             fab.rdma_write(
                 self.ctx,
                 self.my_ep,
@@ -1949,7 +1967,7 @@ impl Proxy<'_> {
                 wctx.remote,
                 wctx.len,
                 Some(wr),
-                notify,
+                None,
             )
             .expect("data retransmit write");
         }
@@ -2188,7 +2206,7 @@ impl Proxy<'_> {
         );
     }
 
-    fn start_instance(&self, st: &mut ProxyState, key: GroupKey, gen: u64) {
+    fn start_instance(&self, st: &mut ProxyState, key: GroupKey, gen: u64, crcs: Option<Vec<u32>>) {
         assert!(
             st.groups.contains_key(&key),
             "exec for unknown group {key:?}"
@@ -2211,6 +2229,19 @@ impl Proxy<'_> {
             });
             return;
         }
+        // Spread the per-send CRC list over the entry indices. A short
+        // list leaves 0s, which fail verification instead of passing.
+        let crcs = crcs.zip(st.groups.get(&key)).map(|(list, group)| {
+            let mut list = list.into_iter();
+            group
+                .entries
+                .iter()
+                .map(|e| match e {
+                    WireEntry::Send { .. } => list.next().unwrap_or_default(),
+                    _ => 0,
+                })
+                .collect()
+        });
         st.instances.push(Instance {
             key,
             gen,
@@ -2220,6 +2251,7 @@ impl Proxy<'_> {
             send_set: BTreeSet::new(),
             barrier_written: false,
             done: false,
+            crcs,
         });
         let idx = st.instances.len() - 1;
         self.advance_instance(st, idx);
@@ -2263,9 +2295,10 @@ impl Proxy<'_> {
     /// `PostCachedEntryOps` loop of Algorithm 1.
     fn advance_instance(&self, st: &mut ProxyState, idx: usize) {
         loop {
-            let (key, gen, cursor) = {
+            let (key, gen, cursor, gen_crc) = {
                 let inst = &st.instances[idx];
-                (inst.key, inst.gen, inst.cursor)
+                let gen_crc = inst.crcs.as_ref().and_then(|c| c.get(inst.cursor).copied());
+                (inst.key, inst.gen, inst.cursor, gen_crc)
             };
             let n_entries = st.groups[&key].entries.len();
             if cursor >= n_entries {
@@ -2311,6 +2344,9 @@ impl Proxy<'_> {
                     crc,
                     ..
                 } => {
+                    // Verify against this generation's CRC, taken at its
+                    // own call: the host may have rewritten the buffer.
+                    let crc = crc.map(|c| gen_crc.unwrap_or(c));
                     let staging = st.groups[&key].staging[cursor];
                     let mkey2 = st.groups[&key].mkey2[cursor];
                     if let Some((buf, bkey)) = staging {
@@ -2350,7 +2386,7 @@ impl Proxy<'_> {
                                             ),
                                             len,
                                             attempt: 1,
-                                            notify: None,
+                                            arrival: None,
                                         },
                                     );
                                 }
@@ -2386,10 +2422,7 @@ impl Proxy<'_> {
                     );
                     let wr = self.next_wrid(st);
                     st.inflight.insert(wr, Completion::GroupSend { key, gen });
-                    let dst_proxy_pid = self
-                        .cluster
-                        .fabric()
-                        .pid_of(self.cluster.proxy_for_rank(dst_rank));
+                    let dst_proxy = self.cluster.proxy_for_rank(dst_rank);
                     let arrival = CtrlMsg::GroupArrival {
                         src_rank: key.host_rank,
                         tag,
@@ -2418,30 +2451,37 @@ impl Proxy<'_> {
                         },
                         msg_id,
                     });
-                    // Group integrity: the CRC is a wire-build-time
-                    // snapshot (documented relaxation — a host that
-                    // rewrites a send buffer between generations must
-                    // rebuild the group).
-                    if let Some(c) = crc {
-                        st.inflight_ctx.insert(
-                            wr,
-                            WriteCtx {
-                                crc: c,
-                                msg_id,
-                                path: if staging.is_some() {
-                                    PathKind::StagingHop2
-                                } else {
-                                    PathKind::CrossGvmi
+                    // Clean runs deliver the arrival marker with the data.
+                    // Integrity runs signal it only once the landed bytes
+                    // verify (see `on_cqe`): the destination must never
+                    // complete a generation on a corrupt write.
+                    let notify = match crc {
+                        Some(c) => {
+                            st.inflight_ctx.insert(
+                                wr,
+                                WriteCtx {
+                                    crc: c,
+                                    msg_id,
+                                    path: if staging.is_some() {
+                                        PathKind::StagingHop2
+                                    } else {
+                                        PathKind::CrossGvmi
+                                    },
+                                    is_read: false,
+                                    local,
+                                    remote: (self.cluster.host_ep(dst_rank), dst_addr, dst_rkey),
+                                    len,
+                                    attempt: 1,
+                                    arrival: Some((dst_proxy, arrival)),
                                 },
-                                is_read: false,
-                                local,
-                                remote: (self.cluster.host_ep(dst_rank), dst_addr, dst_rkey),
-                                len,
-                                attempt: 1,
-                                notify: Some((dst_proxy_pid, arrival.clone())),
-                            },
-                        );
-                    }
+                            );
+                            None
+                        }
+                        None => {
+                            let pid = self.cluster.fabric().pid_of(dst_proxy);
+                            Some((pid, Box::new(arrival) as Payload))
+                        }
+                    };
                     self.cluster
                         .fabric()
                         .rdma_write(
@@ -2451,7 +2491,7 @@ impl Proxy<'_> {
                             (self.cluster.host_ep(dst_rank), dst_addr, dst_rkey),
                             len,
                             Some(wr),
-                            Some((dst_proxy_pid, Box::new(arrival))),
+                            notify,
                         )
                         .expect("group data write");
                     self.ctx.stat_incr("offload.proxy.group_writes", 1);

@@ -121,6 +121,7 @@ impl PayloadFaultPlan {
 }
 
 /// What the fault roll decided for one transfer.
+#[derive(Clone, Copy, Debug)]
 enum PayloadFault {
     None,
     Drop,
@@ -128,6 +129,21 @@ enum PayloadFault {
     Torn(u64),
     /// Flip one bit in the byte at this offset.
     Flip(u64),
+}
+
+/// Land a payload in `dst` (`None`: a virtual region, nothing to write):
+/// copy the `copied`-byte `src` over its prefix (`None`: a virtual
+/// source, which reads as zeros), then flip bit 6 of the byte at `flip`.
+fn land(dst: Option<&mut [u8]>, src: Option<&[u8]>, copied: u64, flip: Option<usize>) {
+    let Some(dst) = dst else { return };
+    let prefix = &mut dst[..copied as usize];
+    match src {
+        Some(bytes) => prefix.copy_from_slice(bytes),
+        None => prefix.fill(0),
+    }
+    if let Some(off) = flip {
+        dst[off] ^= 0x40;
+    }
 }
 
 /// Handle to the simulated RDMA fabric. Clone freely; all clones share one
@@ -750,33 +766,61 @@ impl World {
 
     /// Move one payload from `src` to `dst`, applying the rolled fault.
     /// Returns true when a fault fired (for stats). Both ranges are
-    /// validated even on the faulted paths, so a drop never masks a
-    /// protocol-level addressing bug.
+    /// validated before the roll, even on the faulted paths, so a drop
+    /// never masks a protocol-level addressing bug and an addressing
+    /// error consumes no fault randomness.
+    ///
+    /// Bytes are copied straight from the source region into the
+    /// destination region; only a same-endpoint move stages through a
+    /// temporary (the two ranges may overlap).
     fn move_payload(
         &mut self,
         src: (EpId, VAddr),
         dst: (EpId, VAddr),
         len: u64,
     ) -> Result<bool, crate::mem::MemError> {
-        let mut data = self.eps[src.0.index()].mem.read(src.1, len)?;
+        self.eps[src.0.index()].mem.check_range(src.1, len)?;
         self.eps[dst.0.index()].mem.check_range(dst.1, len)?;
-        match self.payload_roll(len) {
-            PayloadFault::None => {
-                self.eps[dst.0.index()].mem.write(dst.1, &data)?;
-                Ok(false)
-            }
-            PayloadFault::Drop => Ok(true),
-            PayloadFault::Torn(prefix) => {
-                data.truncate(prefix as usize);
-                self.eps[dst.0.index()].mem.write(dst.1, &data)?;
-                Ok(true)
-            }
-            PayloadFault::Flip(off) => {
-                data[off as usize] ^= 0x40;
-                self.eps[dst.0.index()].mem.write(dst.1, &data)?;
-                Ok(true)
-            }
+        let fault = self.payload_roll(len);
+        self.land_payload(src, dst, len, fault)
+    }
+
+    /// Copy one validated payload from `src` to `dst` under `fault`.
+    fn land_payload(
+        &mut self,
+        src: (EpId, VAddr),
+        dst: (EpId, VAddr),
+        len: u64,
+        fault: PayloadFault,
+    ) -> Result<bool, crate::mem::MemError> {
+        let (si, di) = (src.0.index(), dst.0.index());
+        let (copied, flip) = match fault {
+            PayloadFault::None => (len, None),
+            PayloadFault::Drop => return Ok(true),
+            PayloadFault::Torn(prefix) => (prefix, None),
+            PayloadFault::Flip(off) => (len, Some(off as usize)),
+        };
+        if si == di {
+            let mem = &mut self.eps[si].mem;
+            let data = mem.read(src.1, copied)?;
+            land(mem.slice_mut(dst.1, len)?, Some(&data), copied, flip);
+        } else {
+            let (s, d) = if si < di {
+                let (lo, hi) = self.eps.split_at_mut(di);
+                (&lo[si], &mut hi[0])
+            } else {
+                let (lo, hi) = self.eps.split_at_mut(si);
+                (&hi[0], &mut lo[di])
+            };
+            land(
+                d.mem.slice_mut(dst.1, len)?,
+                s.mem.slice(src.1, copied)?,
+                copied,
+                flip,
+            );
         }
+        // A torn prefix is always shorter than the payload.
+        Ok(copied < len || flip.is_some())
     }
 
     /// Charge `dur` of CPU time to `ep`, chaining after any prior charge.
@@ -1273,6 +1317,136 @@ mod tests {
                 fab.crc32(h0, src, 256).unwrap()
             );
         });
+    }
+
+    /// A byte-moving fabric with `n` host endpoints on node 0, touched
+    /// only through its world (no simulated process needed).
+    fn bare_fabric(n: usize) -> (Fabric, Vec<EpId>) {
+        let mut sim = Simulation::new(1);
+        let fab = Fabric::new(&mut sim, ClusterSpec::new(1, n));
+        let eps = (0..n)
+            .map(|i| fab.add_endpoint(Pid::from_index(i), 0, DeviceClass::Host))
+            .collect();
+        (fab, eps)
+    }
+
+    /// The read-modify-write move the zero-copy path replaced: snapshot
+    /// the source into a buffer, fault the buffer, write it back.
+    fn reference_move(
+        w: &mut World,
+        src: (EpId, VAddr),
+        dst: (EpId, VAddr),
+        len: u64,
+        fault: PayloadFault,
+    ) {
+        let mut data = w.eps[src.0.index()].mem.read(src.1, len).unwrap();
+        match fault {
+            PayloadFault::None => {}
+            PayloadFault::Drop => return,
+            PayloadFault::Torn(prefix) => data.truncate(prefix as usize),
+            PayloadFault::Flip(off) => data[off as usize] ^= 0x40,
+        }
+        w.eps[dst.0.index()].mem.write(dst.1, &data).unwrap();
+    }
+
+    const FAULTS: [PayloadFault; 4] = [
+        PayloadFault::None,
+        PayloadFault::Drop,
+        PayloadFault::Torn(300),
+        PayloadFault::Flip(777),
+    ];
+
+    /// Run `fault` through both move implementations on identically
+    /// prepared fabrics and return the two destination images.
+    fn both_moves(
+        fault: PayloadFault,
+        prepare: impl Fn(&mut World, &[EpId]) -> ((EpId, VAddr), (EpId, VAddr)),
+    ) -> (Vec<u8>, Vec<u8>) {
+        const LEN: u64 = 1000;
+        let mut images = Vec::new();
+        for zero_copy in [true, false] {
+            let (fab, eps) = bare_fabric(2);
+            let mut w = fab.inner.lock();
+            let (src, dst) = prepare(&mut w, &eps);
+            if zero_copy {
+                let faulted = w.land_payload(src, dst, LEN, fault).unwrap();
+                assert_eq!(faulted, !matches!(fault, PayloadFault::None));
+            } else {
+                reference_move(&mut w, src, dst, LEN, fault);
+            }
+            images.push(w.eps[dst.0.index()].mem.read(dst.1, LEN).unwrap());
+        }
+        (images.remove(0), images.remove(0))
+    }
+
+    #[test]
+    fn zero_copy_move_matches_read_modify_write() {
+        for fault in FAULTS {
+            let (got, want) = both_moves(fault, |w, eps| {
+                let src = w.eps[0].mem.alloc(1000);
+                let dst = w.eps[1].mem.alloc(1200);
+                w.eps[0].mem.fill_pattern(src, 1000, 5).unwrap();
+                // Old destination bytes show through drops and torn tails.
+                w.eps[1].mem.fill_pattern(dst, 1200, 6).unwrap();
+                ((eps[0], src), (eps[1], dst.offset(100)))
+            });
+            assert_eq!(got, want, "{fault:?}");
+        }
+    }
+
+    #[test]
+    fn zero_copy_move_within_one_endpoint_matches_read_modify_write() {
+        for fault in FAULTS {
+            let (got, want) = both_moves(fault, |w, eps| {
+                // Overlapping ranges of one region: the move must read
+                // the source as it was before any byte landed.
+                let buf = w.eps[1].mem.alloc(1500);
+                w.eps[1].mem.fill_pattern(buf, 1500, 8).unwrap();
+                ((eps[1], buf), (eps[1], buf.offset(200)))
+            });
+            assert_eq!(got, want, "{fault:?}");
+        }
+    }
+
+    #[test]
+    fn virtual_source_lands_zeros_in_a_real_destination() {
+        for fault in FAULTS {
+            let (got, want) = both_moves(fault, |w, eps| {
+                let src = w.eps[0].mem.alloc_virtual(1000);
+                let dst = w.eps[1].mem.alloc(1000);
+                w.eps[1].mem.fill_pattern(dst, 1000, 9).unwrap();
+                ((eps[0], src), (eps[1], dst))
+            });
+            assert_eq!(got, want, "{fault:?}");
+            if matches!(fault, PayloadFault::None) {
+                assert!(got.iter().all(|&b| b == 0), "clean move zero-fills");
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_bounds_destination_errors_before_the_fault_roll() {
+        let (fab, eps) = bare_fabric(2);
+        fab.set_payload_faults(PayloadFaultPlan {
+            flip_pm: 1000,
+            seed: 3,
+            ..Default::default()
+        });
+        let mut w = fab.inner.lock();
+        let src = w.eps[0].mem.alloc(64);
+        let dst = w.eps[1].mem.alloc(32);
+        let rng = w.payload_rng;
+        let err = w
+            .move_payload((eps[0], src), (eps[1], dst), 64)
+            .unwrap_err();
+        assert!(
+            matches!(err, crate::mem::MemError::OutOfBounds { .. }),
+            "{err}"
+        );
+        assert_eq!(w.payload_rng, rng, "no fault randomness consumed");
+        // The same move in bounds does roll (and flip) a fault.
+        assert!(w.move_payload((eps[0], src), (eps[1], dst), 32).unwrap());
+        assert_ne!(w.payload_rng, rng);
     }
 
     #[test]

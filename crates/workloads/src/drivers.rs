@@ -707,6 +707,71 @@ pub fn drive_alltoall(run: &CheckRun, block: u64, calls: u64) -> Result<Report, 
     })
 }
 
+/// A persistent group all-to-all whose send buffer the application
+/// rewrites before every call: each round fills every outgoing block
+/// with a fresh `(sender, receiver, round)` pattern, and after
+/// `Group_Wait` (which must return `Ok`) every received block is checked
+/// byte for byte. Two recorded schedules on two receive buffers
+/// alternate, so a fast peer's next call never overwrites a block
+/// before its receiver has checked it; both share the one send buffer.
+/// Under a payload-fault plan this proves every generation is verified
+/// against the bytes of its own call, not the CRCs taken when the group
+/// was first built. Requires [`CheckRun::move_bytes`].
+pub fn drive_group_refill(run: &CheckRun, block: u64, rounds: u64) -> Result<Report, SimError> {
+    assert!(
+        run.move_bytes,
+        "drive_group_refill needs move_bytes: timing-only runs carry no payloads"
+    );
+    run.run_offload(move |off| {
+        let p = off.size();
+        if p < 2 {
+            return;
+        }
+        let fab = off.cluster().fabric().clone();
+        let ep = off.cluster().host_ep(off.rank());
+        let me = off.rank();
+        let pat = |src: usize, dst: usize, round: u64| {
+            ((src as u64) << 40) | ((dst as u64) << 20) | round
+        };
+        let sendbuf = fab.alloc(ep, block * p as u64);
+        let schedules: Vec<_> = (0..2)
+            .map(|_| {
+                let recvbuf = fab.alloc(ep, block * p as u64);
+                (off.record_alltoall(sendbuf, recvbuf, block), recvbuf)
+            })
+            .collect();
+        let peers = move || (0..p).filter(move |&r| r != me);
+        for round in 0..rounds {
+            for dst in peers() {
+                fab.fill_pattern(
+                    ep,
+                    sendbuf.offset(dst as u64 * block),
+                    block,
+                    pat(me, dst, round),
+                )
+                .expect("fill send block");
+            }
+            let (a2a, recvbuf) = schedules[(round % 2) as usize];
+            off.group_call(a2a);
+            off.ctx().compute(SimDelta::from_us(2));
+            if let Err(e) = off.group_wait(a2a) {
+                panic!("rank {me} round {round}: group_wait failed: {e:?}");
+            }
+            for src in peers() {
+                let ok = fab
+                    .verify_pattern(
+                        ep,
+                        recvbuf.offset(src as u64 * block),
+                        block,
+                        pat(src, me, round),
+                    )
+                    .expect("verify recv block");
+                assert!(ok, "rank {me} round {round}: block from {src} corrupt");
+            }
+        }
+    })
+}
+
 /// Halo exchange over the Group primitives: the same recorded group —
 /// send a face to each ring neighbour, receive theirs, barrier — is
 /// re-called every round with compute between call and wait. After the

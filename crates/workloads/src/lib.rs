@@ -33,9 +33,9 @@ pub use alltoall::{
 };
 pub use drivers::{
     drive_alltoall, drive_breaker_recovery, drive_brownout, drive_ctrl_undeliverable,
-    drive_data_integrity, drive_deadline, drive_flood, drive_group_abandon, drive_group_stencil,
-    drive_noisy_neighbor, drive_quota_retry, drive_stencil, drive_tenant_flood,
-    drive_verified_stencil, CheckRun,
+    drive_data_integrity, drive_deadline, drive_flood, drive_group_abandon, drive_group_refill,
+    drive_group_stencil, drive_noisy_neighbor, drive_quota_retry, drive_stencil,
+    drive_tenant_flood, drive_verified_stencil, CheckRun,
 };
 pub use harness::{collect, collector, run_workload, take, Collector, Harness, Runtime};
 pub use hpl::{hpl_runtime_us, matrix_order, HplAlgo, MODEL_MEM_PER_NODE, NB};
