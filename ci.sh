@@ -133,10 +133,11 @@ for bin in engine_speed ext_allgather ext_bluefield3 ext_proxy_count \
 done
 
 echo "== sharded-engine byte equivalence (threads 1 vs 4, --quick)"
-# The acceptance property at CI scale: the scale benches rerun at 1 and
-# 4 worker threads with wall-clock keys suppressed (BENCH_NO_WALL=1)
-# must write byte-identical metrics documents. SCALE_LONG=1 repeats the
-# check at the full 1024-rank shape (minutes on one CPU).
+# The acceptance property at CI scale: the scale benches (and fig11 /
+# fig13) rerun at 1 and 4 worker threads with wall-clock keys suppressed
+# (BENCH_NO_WALL=1) must write byte-identical metrics documents.
+# SCALE_LONG=1 repeats the scale-bench check at the full 1024-rank shape
+# (minutes on one CPU).
 rm -rf target/equiv-t1 target/equiv-t4
 equiv_scales=(--quick)
 if [ -n "${SCALE_LONG:-}" ]; then equiv_scales+=(""); fi
@@ -150,13 +151,22 @@ for scale in "${equiv_scales[@]}"; do
         done
     done
 done
+# Two protocol benches on top: their proxies are scheduler-polled tasks,
+# so this byte-compares task-backed processes across the two engines.
+for bin in fig11_stencil_time fig13_ialltoall_time; do
+    for t in 1 4; do
+        BENCH_OUT_DIR="target/equiv-t$t" BENCH_NO_WALL=1 SIMNET_THREADS="$t" \
+            cargo run --release --quiet -p bench-harness --bin "$bin" -- --quick \
+            >/dev/null
+    done
+done
 for doc in target/equiv-t1/*.metrics.json; do
     if ! cmp "$doc" "target/equiv-t4/$(basename "$doc")"; then
         echo "sharded engine diverged from the classic engine: $doc"
         exit 1
     fi
 done
-echo "scale artifacts byte-identical at 1 and 4 worker threads"
+echo "scale and protocol artifacts byte-identical at 1 and 4 worker threads"
 
 echo "== continuous self-profiling (BENCH_PROFILE=1, overhead gate)"
 # The engine self-benchmark reruns its spec with the span profiler, the

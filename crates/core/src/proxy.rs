@@ -26,7 +26,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use rdma::{ClusterCtx, EpId, Inbox, MrKey, NetMsg, VAddr};
+use rdma::{ClusterCtx, EpId, MrKey, NetMsg, VAddr};
 use simnet::{Payload, Pid, ProcessCtx};
 
 use crate::config::{DataPath, OffloadConfig, TenantId};
@@ -279,7 +279,24 @@ pub fn proxy_fn(
 
 /// The proxy process body. Runs until every mapped host rank sends
 /// `Shutdown` and all in-flight work has drained.
+///
+/// The proxy is a pure reactor — receive, `handle`, `advance_all` — so
+/// it runs as a task polled by the scheduler (see
+/// [`ProcessCtx::continue_as_task`]): a proxy turn is a function call on
+/// the scheduler's thread, not two OS-thread switches. Only this first
+/// call runs on the process thread, which exits once the task parks.
 pub fn proxy_main(
+    node: usize,
+    idx: usize,
+    ctx: ProcessCtx,
+    cluster: ClusterCtx,
+    cfg: OffloadConfig,
+) {
+    ctx.clone()
+        .continue_as_task(proxy_task(node, idx, ctx, cluster, cfg));
+}
+
+async fn proxy_task(
     node: usize,
     idx: usize,
     ctx: ProcessCtx,
@@ -291,8 +308,6 @@ pub fn proxy_main(
         .filter(|l| (node * spec.ppn + l) % spec.proxies_per_dpu == idx)
         .count();
     let my_ep = cluster.proxy_ep(node, idx);
-    let inbox = Inbox::new();
-    let chan = inbox.channel(|_| true);
     let mut st = ProxyState {
         send_q: BTreeMap::new(),
         recv_q: BTreeMap::new(),
@@ -343,8 +358,12 @@ pub fn proxy_main(
         if st.shutdowns.len() == mapped_hosts && p.quiescent(&st) {
             break;
         }
-        let msg = chan.next_blocking(&ctx);
-        p.handle(&mut st, msg);
+        // The proxy's mailbox carries fabric traffic only; a foreign
+        // payload is skipped, never fatal.
+        let Ok(msg) = ctx.recv_async().await.downcast::<NetMsg>() else {
+            continue;
+        };
+        p.handle(&mut st, *msg);
         p.advance_all(&mut st);
     }
     for cache in st.cross_caches.values() {

@@ -5,7 +5,10 @@
 //! ordinary Rust closures running on dedicated OS threads. A per-process
 //! baton guarantees that at most one thread executes at a time, so simulated
 //! code can use natural blocking control flow while the engine keeps a
-//! virtual clock in integer picoseconds.
+//! virtual clock in integer picoseconds. A process that is a pure reactor
+//! can hand the rest of its body to the scheduler as a `Future`
+//! ([`ProcessCtx::continue_as_task`]); its turns are then inline polls on
+//! the scheduler's thread instead of thread handoffs.
 //!
 //! The crates above this one model an HPC cluster: `rdma` adds verbs-style
 //! NICs, memory registration and GVMI keys; `minimpi` adds an MPI-like

@@ -55,7 +55,7 @@ use std::sync::{Arc, OnceLock, RwLock};
 use parking_lot::{Condvar, Mutex};
 
 use crate::event::{EventKind, EventQueue};
-use crate::process::{panic_message, Baton, BlockReason, Payload, Pid, ProcSlot, ProcStatus};
+use crate::process::{run_turn, Baton, BlockReason, Payload, Pid, ProcPanic, ProcSlot, ProcStatus};
 use crate::resource::{ResourceId, ResourceState};
 use crate::rng::SimRng;
 use crate::sim::{EventSink, ProcReport, ProcessCtx, Report, Route, SimError, LIVELOCK_LIMIT};
@@ -117,13 +117,6 @@ struct EmitRec {
     pid: Pid,
     seq: u64,
     payload: Payload,
-}
-
-/// A process panic captured inside a window, re-raised by the
-/// coordinator with the classic engine's message format.
-struct FatalPanic {
-    msg: String,
-    join: Option<std::thread::JoinHandle<()>>,
 }
 
 /// Profile bucket name: wall-clock time spent executing events inside
@@ -239,7 +232,9 @@ struct ShardState {
     emits: Vec<EmitRec>,
     events: u64,
     error: Option<SimError>,
-    fatal: Option<FatalPanic>,
+    /// A process panic captured inside a window, re-raised by the
+    /// coordinator with the classic engine's message format.
+    fatal: Option<ProcPanic>,
     /// Windows dispatched to this shard (profiled runs only).
     prof_windows: u64,
     /// Wall-clock ns spent executing windows (profiled runs only).
@@ -436,13 +431,9 @@ where
             let result = catch_unwind(AssertUnwindSafe(move || f(ctx2)));
             let mut st = tcell.state.lock();
             let now = st.now;
-            let slot = &mut st.slots[idx as usize];
-            slot.status = ProcStatus::Finished;
-            slot.finished_at = Some(now);
-            if let Err(payload) = result {
-                slot.panic = Some(panic_message(&*payload));
-            }
+            let abandoned = st.slots[idx as usize].thread_exit(now, result);
             drop(st);
+            drop(abandoned);
             ctx.baton.finish();
         })
         .expect("failed to spawn process thread");
@@ -642,6 +633,8 @@ pub(crate) fn run_sharded(rt: &Arc<ShardedRt>, opts: RunOpts) -> Result<Report, 
                     name: slot.name.clone(),
                     compute_time: slot.compute_time,
                     finished_at: slot.finished_at.unwrap_or(end_time),
+                    thread_turns: slot.thread_turns,
+                    task_polls: slot.task_polls,
                 },
             ));
         }
@@ -739,7 +732,7 @@ fn flush_cross_shard(
 }
 
 /// First captured process panic in shard order, if any.
-fn take_fatal(shards: &[Arc<ShardCell>]) -> Option<FatalPanic> {
+fn take_fatal(shards: &[Arc<ShardCell>]) -> Option<ProcPanic> {
     for cell in shards {
         let mut st = cell.state.lock();
         if let Some(f) = st.fatal.take() {
@@ -1044,31 +1037,13 @@ fn run_window_inner(
 /// Run the process at local slot `idx` until it blocks or finishes.
 /// Returns `false` when the process panicked (parked as a fatal).
 fn run_one_local(cell: &Arc<ShardCell>, idx: u32) -> bool {
-    let baton = {
-        let mut st = cell.state.lock();
-        let slot = &mut st.slots[idx as usize];
-        debug_assert_eq!(slot.status, ProcStatus::Ready);
-        slot.status = ProcStatus::Running;
-        Arc::clone(&slot.baton)
-    };
-    baton.resume_process();
-    let mut st = cell.state.lock();
-    let slot = &mut st.slots[idx as usize];
-    debug_assert_ne!(
-        slot.status,
-        ProcStatus::Running,
-        "process yielded without blocking"
-    );
-    if let Some(msg) = slot.panic.take() {
-        let name = slot.name.clone();
-        let join = slot.join.take();
-        st.fatal = Some(FatalPanic {
-            msg: format!("simulated process '{name}' panicked: {msg}"),
-            join,
-        });
-        return false;
+    match run_turn(&cell.state, |st| (&mut st.slots[idx as usize], st.now)) {
+        None => true,
+        Some(p) => {
+            cell.state.lock().fatal = Some(p);
+            false
+        }
     }
-    true
 }
 
 // ---------------------------------------------------------------------
@@ -1084,6 +1059,14 @@ pub(crate) fn ctx_name(cell: &ShardCell, idx: u32) -> String {
     cell.state.lock().slots[idx as usize].name.clone()
 }
 
+pub(crate) fn ctx_with_slot<R>(
+    cell: &ShardCell,
+    idx: u32,
+    f: impl FnOnce(&mut ProcSlot) -> R,
+) -> R {
+    f(&mut cell.state.lock().slots[idx as usize])
+}
+
 pub(crate) fn ctx_block_for(
     cell: &ShardCell,
     baton: &Baton,
@@ -1094,6 +1077,7 @@ pub(crate) fn ctx_block_for(
 ) {
     let span_start = {
         let mut st = cell.state.lock();
+        st.slots[idx as usize].forbid_in_task(if is_compute { "compute" } else { "sleep" });
         let at = st.now + d;
         let seq = st.next_seq;
         st.next_seq += 1;
@@ -1118,6 +1102,7 @@ pub(crate) fn ctx_block_for(
 pub(crate) fn ctx_yield(cell: &ShardCell, baton: &Baton, idx: u32) {
     {
         let mut st = cell.state.lock();
+        st.slots[idx as usize].forbid_in_task("yield_now");
         st.slots[idx as usize].status = ProcStatus::Ready;
         st.ready.push_back(idx);
     }
@@ -1128,10 +1113,12 @@ pub(crate) fn ctx_recv(cell: &ShardCell, baton: &Baton, idx: u32) -> Payload {
     loop {
         {
             let mut st = cell.state.lock();
-            if let Some(msg) = st.slots[idx as usize].mailbox.pop_front() {
+            let slot = &mut st.slots[idx as usize];
+            slot.forbid_in_task("recv");
+            if let Some(msg) = slot.mailbox.pop_front() {
                 return msg;
             }
-            st.slots[idx as usize].status = ProcStatus::Blocked(BlockReason::WaitMessage);
+            slot.status = ProcStatus::Blocked(BlockReason::WaitMessage);
         }
         baton.yield_to_scheduler();
     }

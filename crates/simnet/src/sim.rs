@@ -5,9 +5,14 @@
 //!
 //! At most one thread runs at a time: either the scheduler (inside
 //! [`Simulation::run`]) or exactly one process thread. Control is handed
-//! over through per-process batons. The scheduler:
+//! over through per-process batons. A process is **thread-backed** (its
+//! closure runs on its own OS thread) or **task-backed** (after
+//! [`ProcessCtx::continue_as_task`], the rest of its body is a `Future`
+//! the scheduler polls inline on its own thread — no baton handoff). The
+//! scheduler:
 //!
-//! 1. runs every `Ready` process until it blocks,
+//! 1. runs every `Ready` process until it blocks (resuming its thread or
+//!    polling its task; both follow the same ready queue),
 //! 2. pops the earliest pending event, advances the clock, and handles it
 //!    (which may make processes `Ready` again),
 //! 3. repeats until no events remain.
@@ -23,17 +28,27 @@
 //! `compute`, `recv`, `yield_now`): the next process to run would block on
 //! the mutex while the scheduler waits for it to yield, wedging the whole
 //! simulation (a real deadlock of OS threads, not a simulated one).
+//!
+//! The same rule holds for `.await` in a task: hold no guard across it.
+//! The compiler enforces it for `parking_lot` guards — they are `!Send`,
+//! and a task must be `Send`, so a task that holds one across an await
+//! does not compile.
 
 use std::any::Any;
 use std::collections::VecDeque;
+use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::task::Poll;
 
 use parking_lot::Mutex;
 
 use crate::event::{EventKind, EventQueue};
-use crate::process::{panic_message, Baton, BlockReason, Payload, Pid, ProcSlot, ProcStatus};
+use crate::process::{
+    poll_once, run_turn, Baton, BlockReason, Payload, Pid, ProcSlot, ProcStatus, Task,
+    PENDING_WITHOUT_AWAIT,
+};
 use crate::resource::{ResourceId, ResourceState};
 use crate::rng::SimRng;
 use crate::shard;
@@ -80,7 +95,8 @@ fn env_u64(name: &str) -> Option<u64> {
 ///
 /// The engine stays protocol-agnostic: upper layers define their own event
 /// types and the sink downcasts the `&dyn Any`. The sink runs synchronously
-/// on the emitting process's thread with the simulation state **unlocked**,
+/// on the thread running the emitting process (its own thread, or the
+/// scheduler's for a task) with the simulation state **unlocked**,
 /// so it may read the clock via the captured `SimTime` but must not call
 /// back into blocking [`ProcessCtx`] operations.
 pub type EventSink = Arc<dyn Fn(SimTime, Pid, &dyn Any) + Send + Sync>;
@@ -139,8 +155,17 @@ pub struct ProcReport {
     pub name: String,
     /// Total virtual time spent in `compute()`.
     pub compute_time: SimDelta,
-    /// When the process closure returned.
+    /// When the process finished: its closure returned or, for a
+    /// task-backed process, its task completed.
     pub finished_at: SimTime,
+    /// Scheduler turns that resumed the process's OS thread.
+    /// Deterministic: equal on every engine and worker-thread count.
+    pub thread_turns: u64,
+    /// Scheduler turns that polled the process's task inline (zero for a
+    /// thread-backed process; the first poll, made on the thread inside
+    /// [`ProcessCtx::continue_as_task`], is part of a thread turn).
+    /// Deterministic like `thread_turns`.
+    pub task_polls: u64,
 }
 
 /// Result of a completed run.
@@ -536,6 +561,8 @@ impl Simulation {
                     name: p.name.clone(),
                     compute_time: p.compute_time,
                     finished_at: p.finished_at.unwrap_or(st.now),
+                    thread_turns: p.thread_turns,
+                    task_polls: p.task_polls,
                 })
                 .collect(),
             events: st.events,
@@ -557,30 +584,13 @@ impl Simulation {
 
 /// Run process `pid` until it blocks or finishes; propagate its panic.
 fn run_one(inner: &Arc<SimInner>, pid: Pid) {
-    let baton = {
-        let mut st = inner.state.lock();
-        let slot = &mut st.procs[pid.index()];
-        debug_assert_eq!(slot.status, ProcStatus::Ready);
-        slot.status = ProcStatus::Running;
-        Arc::clone(&slot.baton)
-    };
-    baton.resume_process();
-    let mut st = inner.state.lock();
-    let slot = &mut st.procs[pid.index()];
-    debug_assert_ne!(
-        slot.status,
-        ProcStatus::Running,
-        "process yielded without blocking"
-    );
-    if let Some(msg) = slot.panic.take() {
-        let name = slot.name.clone();
+    let panic = run_turn(&inner.state, |st| (&mut st.procs[pid.index()], st.now));
+    if let Some(p) = panic {
         // Join the dead thread before re-raising.
-        let join = slot.join.take();
-        drop(st);
-        if let Some(h) = join {
+        if let Some(h) = p.join {
             let _ = h.join();
         }
-        panic!("simulated process '{name}' panicked: {msg}");
+        panic!("{}", p.msg);
     }
 }
 
@@ -614,13 +624,9 @@ where
             let result = catch_unwind(AssertUnwindSafe(move || f(ctx2)));
             let mut st = tinner.state.lock();
             let now = st.now;
-            let slot = &mut st.procs[pid.index()];
-            slot.status = ProcStatus::Finished;
-            slot.finished_at = Some(now);
-            if let Err(payload) = result {
-                slot.panic = Some(panic_message(&*payload));
-            }
+            let abandoned = st.procs[pid.index()].thread_exit(now, result);
             drop(st);
+            drop(abandoned);
             ctx.baton.finish();
         })
         .expect("failed to spawn process thread");
@@ -673,6 +679,7 @@ impl ProcessCtx {
         };
         let span_start = {
             let mut st = inner.state.lock();
+            st.procs[self.pid.index()].forbid_in_task(if is_compute { "compute" } else { "sleep" });
             let at = st.now + d;
             st.queue.push(at, EventKind::Wake(self.pid));
             let slot = &mut st.procs[self.pid.index()];
@@ -708,6 +715,7 @@ impl ProcessCtx {
         {
             let mut st = inner.state.lock();
             let pid = self.pid;
+            st.procs[pid.index()].forbid_in_task("yield_now");
             st.procs[pid.index()].status = ProcStatus::Ready;
             st.ready.push_back(pid);
         }
@@ -725,12 +733,70 @@ impl ProcessCtx {
         loop {
             {
                 let mut st = inner.state.lock();
-                if let Some(msg) = st.procs[self.pid.index()].mailbox.pop_front() {
+                let slot = &mut st.procs[self.pid.index()];
+                slot.forbid_in_task("recv");
+                if let Some(msg) = slot.mailbox.pop_front() {
                     return msg;
                 }
-                st.procs[self.pid.index()].status = ProcStatus::Blocked(BlockReason::WaitMessage);
+                slot.status = ProcStatus::Blocked(BlockReason::WaitMessage);
             }
             self.baton.yield_to_scheduler();
+        }
+    }
+
+    /// Awaitable receive, for task-backed processes: the next mailbox
+    /// message. It pops the mailbox and blocks exactly like
+    /// [`recv`](Self::recv), but where `recv` parks the OS thread this
+    /// returns `Pending`; a delivery makes the process `Ready` and its
+    /// next scheduler turn polls the task again.
+    pub fn recv_async(&self) -> impl Future<Output = Payload> + Send + '_ {
+        std::future::poll_fn(move |_| {
+            self.with_slot(|slot| {
+                debug_assert!(slot.task_backed, "recv_async polled outside a task");
+                match slot.mailbox.pop_front() {
+                    Some(msg) => Poll::Ready(msg),
+                    None => {
+                        slot.status = ProcStatus::Blocked(BlockReason::WaitMessage);
+                        Poll::Pending
+                    }
+                }
+            })
+        })
+    }
+
+    /// Run the rest of this process's body as a task polled by the
+    /// scheduler on its own thread, so a turn is a function call instead
+    /// of two OS-thread switches.
+    ///
+    /// `fut` is polled once right here, inside the current turn, so the
+    /// resume order is the same as if the body had kept running on its
+    /// thread. If it is still pending, it is parked in the scheduler and
+    /// the closure must return straight away: its OS thread then exits,
+    /// and the process stays alive until the task completes. Inside the
+    /// task, block only by awaiting [`recv_async`](Self::recv_async); the
+    /// blocking calls (`recv`, `sleep`, `compute`, `yield_now`) panic from
+    /// a task-backed process, as does a second `continue_as_task`.
+    pub fn continue_as_task<F>(&self, fut: F)
+    where
+        F: Future<Output = ()> + Send + 'static,
+    {
+        self.with_slot(|slot| {
+            slot.forbid_in_task("continue_as_task");
+            slot.task_backed = true;
+        });
+        let mut task: Task = Box::pin(fut);
+        if poll_once(&mut task).is_pending() {
+            if let Err(_task) = self.with_slot(|slot| slot.park_task(task)) {
+                panic!("{PENDING_WITHOUT_AWAIT}");
+            }
+        }
+    }
+
+    /// Run `f` on this process's scheduler slot, under the engine lock.
+    fn with_slot<R>(&self, f: impl FnOnce(&mut ProcSlot) -> R) -> R {
+        match &self.route {
+            Route::Classic(inner) => f(&mut inner.state.lock().procs[self.pid.index()]),
+            Route::Sharded { cell, idx, .. } => shard::ctx_with_slot(cell, *idx, f),
         }
     }
 
